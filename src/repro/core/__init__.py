@@ -22,7 +22,6 @@ Public surface:
 from .compile import por_prune_set
 from .engine import (
     CompactStore,
-    DictStore,
     ExplorationEngine,
     FIFOFrontier,
     FingerprintOnlyStore,
@@ -33,7 +32,6 @@ from .engine import (
     ScenarioFrontier,
     SearchResult,
     SearchStats,
-    ShardedStateStore,
     StateStore,
     StepChecker,
     StopReason,
@@ -62,7 +60,6 @@ from .violation import Violation
 __all__ = [
     "Action",
     "CompactStore",
-    "DictStore",
     "ExplorationEngine",
     "FIFOFrontier",
     "FingerprintOnlyStore",
@@ -73,7 +70,6 @@ __all__ = [
     "ScenarioFrontier",
     "SearchResult",
     "SearchStats",
-    "ShardedStateStore",
     "StateStore",
     "StepChecker",
     "StopReason",

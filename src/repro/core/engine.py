@@ -13,11 +13,12 @@ decomposition TLC uses for its BFS/simulation modes):
   successors are taken.  :class:`FIFOFrontier` explores every successor
   breadth-first; :class:`RandomWalkFrontier` follows one uniformly
   random successor per step; :class:`ScenarioFrontier` follows the
-  transition matched by the next scenario pick.
+  transition matched by the next scenario pick.  Parallel shard workers
+  run this loop too, handing foreign children away via ``route``.
 * :class:`StateStore` — the visited-fingerprint set and parent map used
   for stateful deduplication and counterexample reconstruction.  The
   interface is deliberately narrow (``seen``/``record``/``chain``) so
-  sharded, parallel, or disk-backed stores can slot in behind it.
+  compact, fingerprint-only or disk-backed stores can slot in behind it.
 * :class:`StepChecker` — invariant evaluation and violation
   construction, including lazy trace building via the strategy.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import sys
-import threading
 import time
 from array import array
 from bisect import bisect_left
@@ -62,9 +62,7 @@ __all__ = [
     "SearchResult",
     "StateStore",
     "InMemoryStateStore",
-    "DictStore",
     "CompactStore",
-    "ShardedStateStore",
     "FingerprintOnlyStore",
     "TracelessStoreError",
     "NullStateStore",
@@ -306,10 +304,6 @@ class InMemoryStateStore(StateStore):
         return len(self._parents)
 
 
-#: Historical name for the dict-backed store, matching TLC's naming.
-DictStore = InMemoryStateStore
-
-
 class CompactStore(StateStore):
     """Fingerprints and parent edges only — no state retention past roots.
 
@@ -317,8 +311,7 @@ class CompactStore(StateStore):
     tuple object per state, this store keeps two int-to-int dict entries
     with action names interned to small ids: no per-state tuple
     allocation, and the per-state cost is independent of action-name
-    length.  The per-shard building block of :class:`ShardedStateStore`
-    and the worker-local store of :mod:`repro.core.parallel`.
+    length.  The worker-local store of :mod:`repro.core.parallel`.
     """
 
     __slots__ = ("_parents", "_action_of", "_action_ids", "_action_names", "_inits")
@@ -383,95 +376,6 @@ class CompactStore(StateStore):
 
     def __len__(self) -> int:
         return len(self._parents)
-
-
-class ShardedStateStore(StateStore):
-    """A store partitioned by fingerprint bits with per-shard locks.
-
-    Fingerprints are canonical 64-bit ints (:func:`repro.core.state.fingerprint`),
-    so a fixed bit-slice partitions states uniformly and *identically in
-    every process*.  Each shard is an independent :class:`CompactStore`
-    guarded by its own lock: concurrent expanders contend only when they
-    touch the same shard, the same partitioning TLC uses for its
-    fingerprint-set workers.  ``shards`` is rounded up to a power of two.
-    """
-
-    __slots__ = ("_shards", "_locks", "_mask")
-
-    def __init__(self, shards: int = 16) -> None:
-        n = 1
-        while n < max(1, shards):
-            n <<= 1
-        self._mask = n - 1
-        self._shards = [CompactStore() for _ in range(n)]
-        self._locks = [threading.Lock() for _ in range(n)]
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, fp: Any) -> int:
-        """The shard index owning ``fp`` (stable across processes)."""
-        if isinstance(fp, int):
-            return fp & self._mask
-        if isinstance(fp, bytes):
-            return int.from_bytes(fp[:8], "big") & self._mask
-        return hash(fp) & self._mask
-
-    def seen(self, fp: Any) -> bool:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            return self._shards[index].seen(fp)
-
-    def record(self, fp: Any, parent_fp: Any, action: str) -> None:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            self._shards[index].record(fp, parent_fp, action)
-
-    def record_init(self, fp: Any, state: Rec) -> None:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            self._shards[index].record_init(fp, state)
-
-    def init_state(self, fp: Any) -> Rec:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            return self._shards[index].init_state(fp)
-
-    def chain(self, fp: Any) -> List[Tuple[Any, str]]:
-        # Walks edges across shards, locking one hop at a time.
-        chain: List[Tuple[Any, str]] = []
-        cursor: Optional[Any] = fp
-        while cursor is not None:
-            index = self.shard_of(cursor)
-            with self._locks[index]:
-                shard = self._shards[index]
-                chain.append((cursor, shard._action_name(cursor)))
-                cursor = shard._parents[cursor]
-        chain.reverse()
-        return chain
-
-    def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                snapshot = list(shard.edges())
-            yield from snapshot
-
-    def roots(self) -> Iterator[Tuple[Any, Rec]]:
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                snapshot = list(shard.roots())
-            yield from snapshot
-
-    def estimated_bytes(self) -> Optional[int]:
-        total = 0
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                total += shard.estimated_bytes()
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
 
 
 class FingerprintOnlyStore(StateStore):
@@ -812,6 +716,11 @@ class FrontierStrategy:
       per-step bookkeeping (``on_seed``/``on_transition``/``on_step``);
     * ``check_constraint`` — evaluate the spec's state constraint at all
       (guided scenarios deliberately ignore it).
+
+    ``route``, when set, is a sharded search's owner routing: it gets
+    ``(child, child_fp, parent_fp, transition, depth)`` right after the
+    child is fingerprinted, before the store is probed, and returns true
+    when it handed the child to another shard, which the engine skips.
     """
 
     name = "frontier"
@@ -819,6 +728,7 @@ class FrontierStrategy:
     stop_on_bound = False
     tracks_steps = False
     check_constraint = True
+    route: Optional[Callable[[Rec, Any, Any, Transition, int], bool]] = None
 
     frontier: Any
     engine: "ExplorationEngine"
@@ -858,10 +768,10 @@ class FrontierStrategy:
 class _DepthTrackingDeque(deque):
     """A deque that remembers the depth of the last node it popped.
 
-    Traceless runs cannot reconstruct a violation's event sequence, but
-    the violation *depth* is known exactly at discovery time: it is the
-    depth of the node under expansion (plus one for a step).  Tracking
-    it here keeps the engine's hot loop untouched.
+    Strategy hooks are not passed the depth of the node under expansion
+    (a traceless or sharded violation's depth, plus one for a step; a
+    log position in trace validation); tracking it here keeps the
+    engine's hot loop untouched.
     """
 
     last_depth = 0
@@ -1180,6 +1090,7 @@ class ExplorationEngine:
         check_state = checker.check_state
         frontier = strategy.frontier
         push = frontier.append
+        route = strategy.route
         # Incremental invariant checking (compiled specs only): compute
         # each successor's touched-key set from its functional-update
         # chain, before fingerprinting consumes the chain.  Skipping
@@ -1305,6 +1216,10 @@ class ExplorationEngine:
                 if dedupe:
                     child = canon_fn(target) if canon_fn is not None else target
                     child_fp = fp_fn(child)
+                    if route is not None and route(
+                        child, child_fp, fp, transition, depth + 1
+                    ):
+                        continue
                     if store_seen(child_fp):
                         if (
                             time_budget is not None

@@ -12,11 +12,11 @@ same owner without any coordination.
 The search is level-synchronous; each round covers one BFS depth in two
 phases:
 
-1. **expand** — every worker pops its slice of the current frontier,
-   enumerates successors, checks transition invariants, and fingerprints
-   each (canonicalized) child.  Children owned by the worker itself are
-   deduplicated against its local :class:`~repro.core.engine.CompactStore`
-   on the spot; foreign children are batched per owner as
+1. **expand** — every worker runs the shared serial
+   :class:`~repro.core.engine.ExplorationEngine` over its slice of the
+   current level.  Owned children join the next level; the ``route``
+   hook takes each foreign child right after fingerprinting, before the
+   local store is probed, and batches it for its owner as
    ``(codec bytes, fingerprint, parent fingerprint, action, depth)``.
 2. **absorb** — the master routes the batches and each owner merges
    them: duplicates are dropped, new states are recorded with their
@@ -86,24 +86,26 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs.metrics import (
     ACTION_FIRES,
     BATCH_BYTES,
-    CODEC_CHUNKS,
     FALLBACK_SERIAL,
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
     WAIT_BOUNDS_MS,
-    Histogram,
+    MetricsRegistry,
 )
 from .compile import compile_disabled, maybe_compile
 from .engine import (
     CompactStore,
+    ExplorationEngine,
     FingerprintOnlyStore,
+    FrontierStrategy,
     SearchResult,
     SearchStats,
     StopReason,
+    _DepthTrackingDeque,
     reconstruct_trace,
 )
 from .spec import Spec
-from .state import changed_keys, codec_stats, decode, encode, fingerprint
+from .state import Rec, decode, encode, fingerprint
 from .symmetry import SymmetryReducer
 from .trace import PendingTrace, TraceStep
 from .violation import Violation
@@ -147,15 +149,55 @@ def _make_reducer(spec: Spec, symmetry: bool) -> Optional[SymmetryReducer]:
     return SymmetryReducer(spec.symmetry_sets(), key=fingerprint)
 
 
+class _LevelFrontier(_DepthTrackingDeque):
+    """The current BFS level, whose pushes go to the :attr:`next` level."""
+
+    def __init__(self, level: deque):
+        super().__init__(level)
+        self.next: deque = deque()
+
+    def append(self, node: tuple) -> None:
+        self.next.append(node)
+
+
+class _Anchor(PendingTrace):
+    """A violation's place, state ``fp`` plus ``step``: the master builds traces."""
+
+    def __init__(self, fp: Any, step: Optional[TraceStep], depth: int):
+        super().__init__(depth)
+        self.fp = fp
+        self.step = step
+
+
+class _ShardRound(FrontierStrategy):
+    """One shard's expand round: its current level, with owner routing."""
+
+    def __init__(self, level: deque, route: Callable[..., bool]):
+        self.frontier = _LevelFrontier(level)
+        self.route = route
+
+    def bind(self, engine: ExplorationEngine) -> None:
+        pass  # no back-reference cycle: a round is freed as soon as it ends
+
+    def initial_states(self, spec: Spec) -> tuple:
+        return ()  # the master seeds every shard through absorb
+
+    def trace_to(self, fp: Any, step: Optional[TraceStep] = None) -> _Anchor:
+        return _Anchor(fp, step, self.frontier.last_depth + (step is not None))
+
+
 class ShardWorker:
     """One shard's protocol logic, independent of how messages arrive.
 
     Owns the fingerprints with ``fp % workers == wid``: a local store, a
     local frontier, and the expand/absorb/edges/checkpoint/restore op
-    handlers.  The fork worker loop (:func:`_worker_main`) and the TCP
-    worker agent (:class:`repro.dist.agent.WorkerAgent`) both drive one
-    instance through :meth:`handle`, which keeps the two transports
-    behaviorally identical by construction.
+    handlers.  ``expand`` runs one fresh
+    :class:`~repro.core.engine.ExplorationEngine` per round over them,
+    routing foreign children to their owners.  The fork worker loop
+    (:func:`_worker_main`) and the TCP worker agent
+    (:class:`repro.dist.agent.WorkerAgent`) both drive one instance
+    through :meth:`handle`, which keeps the two transports behaviorally
+    identical by construction.
     """
 
     def __init__(
@@ -183,21 +225,9 @@ class ShardWorker:
         self.fast = bool(fast)
         self.stop_on_violation = stop_on_violation
         self.metrics_on = metrics_on
-        reducer = _make_reducer(spec, symmetry)
-        self._canon = reducer.canonical if reducer is not None else None
+        self.reducer = _make_reducer(spec, symmetry)
         self.store = FingerprintOnlyStore() if fast else CompactStore()
         self.frontier: deque = deque()
-        self._constraint = spec.state_constraint
-        self._successors = spec.successors
-        self._check_state = spec.check_state
-        self._check_transition = spec.check_transition
-        # Incremental invariant checking, mirroring the serial engine:
-        # touched keys are read off the functional-update chain before
-        # fingerprinting consumes it; state-invariant skipping requires
-        # clean parents, which stop_on_violation guarantees.
-        incremental = getattr(spec, "incremental", False)
-        self._changed_of = changed_keys if incremental else None
-        self._skip_state_invs = incremental and stop_on_violation
 
     # -- op dispatch ---------------------------------------------------------
 
@@ -225,7 +255,7 @@ class ShardWorker:
     def absorb(self, items: list) -> tuple:
         store = self.store
         frontier = self.frontier
-        check_state = self._check_state
+        check_state = self.spec.check_state
         added = 0
         violations: List[_ViolationDesc] = []
         if self.fast:
@@ -258,132 +288,59 @@ class ShardWorker:
         return ("absorbed", self.wid, added, violations, len(frontier))
 
     def expand(self, deadline: Optional[float]) -> tuple:
-        wid = self.wid
-        n_workers = self.workers
-        store = self.store
-        fast = self.fast
-        stop_on_violation = self.stop_on_violation
-        canon = self._canon
-        constraint = self._constraint
-        successors = self._successors
-        check_state = self._check_state
-        check_transition = self._check_transition
-        changed_of = self._changed_of
-        skip_state_invs = self._skip_state_invs
-        metrics_on = self.metrics_on
-        monotonic = time.monotonic
-
-        current, self.frontier = self.frontier, deque()
-        frontier = self.frontier
-        transitions = pruned = added = 0
-        truncated = stopping = False
+        wid, workers, fast = self.wid, self.workers, self.fast
         batches: Dict[int, list] = defaultdict(list)
-        violations: List[_ViolationDesc] = []
-        # Per-round observability deltas, shipped to the master
-        # with the "expanded" reply and merged there.
-        fires: Optional[Dict[str, int]] = {} if metrics_on else None
-        fanout = Histogram("engine.fanout", SIZE_BOUNDS) if metrics_on else None
-        codec_base = codec_stats() if metrics_on else None
-        while current and not stopping:
-            state, fp, depth = current.popleft()
-            if deadline is not None and monotonic() > deadline:
-                truncated = True
-                break
-            if not constraint(state):
-                pruned += 1
-                continue
-            fanout_base = transitions
-            for transition in successors(state):
-                transitions += 1
-                if fires is not None:
-                    name = transition.action
-                    fires[name] = fires.get(name, 0) + 1
-                changed = (
-                    changed_of(transition.target, state)
-                    if changed_of is not None
-                    else None
-                )
-                bad = check_transition(state, transition, changed)
-                if bad is not None:
-                    violations.append(
-                        (
-                            "transition",
-                            bad,
-                            depth + 1,
-                            fp,
-                            transition.action,
-                            tuple(transition.args),
-                            transition.branch,
-                            encode(transition.target),
-                        )
-                    )
-                    if stop_on_violation:
-                        stopping = True
-                        break
-                target = transition.target
-                child = canon(target) if canon is not None else target
-                child_fp = fingerprint(child)
-                if child_fp % n_workers == wid:
-                    if store.seen(child_fp):
-                        continue
-                    store.record(child_fp, fp, transition.action)
-                    added += 1
-                    bad = check_state(child, changed if skip_state_invs else None)
-                    if bad is not None:
-                        violations.append(
-                            (
-                                "state",
-                                bad,
-                                depth + 1,
-                                child_fp,
-                                transition.action,
-                                (),
-                                "",
-                                None,
-                            )
-                        )
-                        if stop_on_violation:
-                            stopping = True
-                            break
-                    frontier.append((child, child_fp, depth + 1))
-                elif fast:
-                    batches[child_fp % n_workers].append(
-                        (encode(child), child_fp, depth + 1)
-                    )
-                else:
-                    batches[child_fp % n_workers].append(
-                        (
-                            encode(child),
-                            child_fp,
-                            fp,
-                            transition.action,
-                            depth + 1,
-                        )
-                    )
-            if fanout is not None:
-                fanout.observe(transitions - fanout_base)
-        if metrics_on:
-            codec_now = codec_stats()
-            codec_delta = {
-                key: codec_now[key] - codec_base[key]
-                for key in codec_now
-                if codec_now[key] != codec_base[key]
-            }
-            obs = (fires, fanout.to_dict(), codec_delta)
-        else:
-            obs = None
+
+        def route(
+            child: Rec, child_fp: int, parent_fp: int, transition: Any, depth: int
+        ) -> bool:
+            owner = child_fp % workers
+            if owner == wid:
+                return False
+            # Traceless (fast) batches carry no parent edge.
+            edge = () if fast else (parent_fp, transition.action)
+            batches[owner].append((encode(child), child_fp, *edge, depth))
+            return True
+
+        strategy = _ShardRound(self.frontier, route)
+        self.frontier = strategy.frontier.next  # drop the level once copied
+        registry = MetricsRegistry() if self.metrics_on else None
+        engine = ExplorationEngine(
+            self.spec,
+            strategy,
+            store=self.store,
+            time_budget=None if deadline is None else deadline - time.monotonic(),
+            stop_on_violation=self.stop_on_violation,
+            reducer=self.reducer,
+            metrics=registry,
+        )
+        result = engine.run()
+        stats = result.stats
         return (
             "expanded",
             wid,
-            transitions,
-            pruned,
-            added,
+            stats.transitions,
+            stats.pruned,
+            stats.distinct_states,
             dict(batches),
-            violations,
-            len(frontier),
-            truncated,
-            obs,
+            [self._describe(v) for v in engine.checker.violations],
+            len(self.frontier),
+            result.stop_reason is StopReason.TIME_BUDGET,
+            registry.snapshot() if registry is not None else None,
         )
+
+    def _describe(self, violation: Violation) -> _ViolationDesc:
+        """The engine's violation as the master's descriptor tuple."""
+        anchor = violation.trace
+        step = anchor.step
+        head = (violation.kind, violation.invariant, anchor.depth)
+        if violation.kind == "transition":
+            edge = (anchor.fp, step.action, tuple(step.args), step.branch)
+            return (*head, *edge, encode(step.state))
+        # A state violation names the violating child itself.
+        reducer = self.reducer
+        child = reducer.canonical(step.state) if reducer is not None else step.state
+        return (*head, fingerprint(child), step.action, (), "", None)
 
     def edges_reply(self) -> tuple:
         store = self.store
@@ -684,11 +641,8 @@ class ParallelBFS:
         self.membership = membership
 
         metrics = self.metrics
-        fires_table: Any = None
-        fanout_hist = batch_hist = wait_hist = None
-        rounds_counter = batch_bytes = None
+        batch_hist = wait_hist = rounds_counter = batch_bytes = None
         shard_states: Any = None
-        chunk_counts: Any = None
         queue_gauge = rate_gauge = None
 
         def hoist_instruments() -> None:
@@ -696,19 +650,15 @@ class ParallelBFS:
             # again after every ``metrics.restore`` — restore replaces
             # the labeled-count dicts wholesale, so stale hoists would
             # otherwise keep feeding dead objects.
-            nonlocal fires_table, fanout_hist, batch_hist, wait_hist
-            nonlocal rounds_counter, batch_bytes, shard_states, chunk_counts
-            nonlocal queue_gauge, rate_gauge
-            fires_table = metrics.counts(ACTION_FIRES)
-            for action in self.spec.actions():
-                fires_table.setdefault(action.name, 0)
-            fanout_hist = metrics.histogram("engine.fanout", SIZE_BOUNDS)
+            nonlocal batch_hist, wait_hist, rounds_counter, batch_bytes
+            nonlocal shard_states, queue_gauge, rate_gauge
+            metrics.merge_counts(ACTION_FIRES, {a.name: 0 for a in self.spec.actions()})
+            metrics.histogram("engine.fanout", SIZE_BOUNDS)
             batch_hist = metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS)
             wait_hist = metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS)
             rounds_counter = metrics.counter("parallel.rounds")
             batch_bytes = metrics.counter(BATCH_BYTES)
             shard_states = metrics.counts("parallel.shard_states")
-            chunk_counts = metrics.counts(CODEC_CHUNKS)
             queue_gauge = metrics.gauge("engine.queue_depth")
             rate_gauge = metrics.gauge("engine.states_per_sec")
 
@@ -863,12 +813,7 @@ class ParallelBFS:
                     for owner, items in batches.items():
                         round_batches[owner].extend(items)
                     if metrics is not None and obs is not None:
-                        round_fires, fanout_state, codec_delta = obs
-                        for name, count in round_fires.items():
-                            fires_table[name] = fires_table.get(name, 0) + count
-                        fanout_hist.merge(fanout_state)
-                        for key, count in codec_delta.items():
-                            chunk_counts[key] = chunk_counts.get(key, 0) + count
+                        metrics.merge(obs)  # the worker's round registry
                         if added:
                             key = str(wid)
                             shard_states[key] = shard_states.get(key, 0) + added

@@ -19,13 +19,14 @@ Instrument families:
   one entry per spec action.
 * :class:`Gauge` — a point-in-time value (``set``).
 * :class:`Histogram` — fixed geometric buckets plus count/total/min/max;
-  ``merge`` folds another histogram's serialized state in (the parallel
-  master merges per-round worker histograms this way).
+  ``merge`` folds another histogram's serialized state in.
 
 :meth:`MetricsRegistry.snapshot` renders everything as a JSON-safe dict
 and :meth:`MetricsRegistry.restore` replaces the registry's state from
 such a dict — the pair is what makes counters survive checkpoint/resume
 byte-for-byte (the snapshot rides in the checkpoint header).
+:meth:`MetricsRegistry.merge` adds a snapshot in instead: the parallel
+master merges each shard worker's per-round registry this way.
 """
 
 from __future__ import annotations
@@ -279,6 +280,18 @@ class MetricsRegistry:
         table = self.counts(name)
         for label, n in delta.items():
             table[label] = table.get(label, 0) + n
+
+    def merge(self, snapshot: Dict[str, Any]) -> None:
+        """Add another registry's :meth:`snapshot` into this one.
+
+        Gauges, being point-in-time readings, are left alone.
+        """
+        for name, value in snapshot.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, delta in snapshot.get("counts", {}).items():
+            self.merge_counts(name, delta)
+        for name, state in snapshot.get("histograms", {}).items():
+            self.histogram(name, state["bounds"]).merge(state)
 
     # -- snapshot / restore ---------------------------------------------------
 

@@ -43,6 +43,7 @@ from ..core.engine import (
     NullStateStore,
     StepChecker,
     StopReason,
+    _DepthTrackingDeque,
     action_kinds,
 )
 from ..core.spec import Spec, Transition
@@ -62,23 +63,6 @@ DEFAULT_MAX_FRONTIER = 1024
 
 #: Action kinds treated as unobserved (stutter) steps by default.
 DEFAULT_STUTTER_KINDS = frozenset({"internal"})
-
-
-class _LevelDeque(deque):
-    """A FIFO frontier that remembers the depth of the last popped node.
-
-    ``choose(state, successors)`` does not receive the node's depth; the
-    engine reads it from ``node[2]`` when popping, so recording it here
-    (the same trick as the engine's traceless ``_DepthTrackingDeque``)
-    gives the strategy the log position without touching the hot loop.
-    """
-
-    last_depth = 0
-
-    def popleft(self) -> tuple:
-        node = deque.popleft(self)
-        self.last_depth = node[2]
-        return node
 
 
 class TraceMatchFrontier(FrontierStrategy):
@@ -107,7 +91,8 @@ class TraceMatchFrontier(FrontierStrategy):
         self.stutter_kinds = frozenset(stutter_kinds)
         self.keep_states = keep_states
         self.keep_misses = keep_misses
-        self.frontier = _LevelDeque()
+        # Remembers the depth (log position) of the node last popped.
+        self.frontier = _DepthTrackingDeque()
         # -- outcome bookkeeping (read by `report` after the run) -------
         self.completed = 0
         self.frontier_limited = False

@@ -13,9 +13,7 @@ import pytest
 from repro.core import (
     Action,
     CompactStore,
-    DictStore,
     Rec,
-    ShardedStateStore,
     Spec,
     StopReason,
     TransitionInvariant,
@@ -23,7 +21,9 @@ from repro.core import (
     parallel_bfs,
 )
 from repro.core.engine import ExplorationEngine, FIFOFrontier, StepChecker
-from repro.core.state import fingerprint
+from repro.core.parallel import ShardWorker
+from repro.core.state import encode, fingerprint
+from repro.obs.metrics import ACTION_FIRES, MetricsRegistry
 from repro.persist import DiskStore
 
 from toy_specs import CounterSpec, TokenRingSpec
@@ -110,6 +110,77 @@ class TestEquivalence:
         assert result.exhausted
 
 
+class ProbeCountingStore(CompactStore):
+    """A compact store that counts its membership probes."""
+
+    __slots__ = ("probes",)
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def seen(self, fp):
+        self.probes += 1
+        return super().seen(fp)
+
+
+class TestShardWorkersInProcess:
+    """Two shard workers driven round by round, with no transport."""
+
+    @staticmethod
+    def drive(spec):
+        shards = [
+            ShardWorker(spec, wid, 2, metrics_on=True) for wid in range(2)
+        ]
+        for shard in shards:
+            shard.store = ProbeCountingStore()
+        registry = MetricsRegistry()
+        states = transitions = routed = 0
+        batches = {}
+        for init in {fingerprint(s): s for s in spec.init_states()}.values():
+            fp = fingerprint(init)
+            batches.setdefault(fp % 2, []).append((encode(init), fp, None, "<init>", 0))
+        initial = sum(len(items) for items in batches.values())
+        while True:
+            for wid, items in sorted(batches.items()):
+                _, _, added, violations, _ = shards[wid].handle(("absorb", items))
+                states += added
+                assert not violations
+            if not any(shard.frontier for shard in shards):
+                break
+            batches = {}
+            for shard in shards:
+                reply = shard.handle(("expand", None))
+                _, _, n_trans, _, added, out, violations, _, truncated, obs = reply
+                assert not violations and not truncated
+                transitions += n_trans
+                states += added
+                registry.merge(obs)
+                for owner, items in out.items():
+                    assert owner != shard.wid
+                    routed += len(items)
+                    batches.setdefault(owner, []).extend(items)
+        probes = sum(shard.store.probes for shard in shards)
+        return states, transitions, initial, routed, probes, registry
+
+    @pytest.mark.parametrize(
+        "spec_fn",
+        [lambda: TokenRingSpec(3), lambda: CounterSpec(3, 3)],
+        ids=["token-ring", "counters"],
+    )
+    def test_census_fires_and_probes_match_serial(self, spec_fn):
+        serial_metrics = MetricsRegistry()
+        serial = bfs_explore(spec_fn(), metrics=serial_metrics)
+        states, transitions, initial, routed, probes, registry = self.drive(spec_fn())
+        assert routed > 0
+        assert states == serial.stats.distinct_states
+        assert transitions == serial.stats.transitions
+        assert registry.counts(ACTION_FIRES) == serial_metrics.counts(ACTION_FIRES)
+        # Foreign children are routed before the local store is probed,
+        # so every transition is probed exactly once, at its owner.
+        assert probes == transitions + initial
+
+
 class TestStops:
     def test_max_states(self):
         par = parallel_bfs(CounterSpec(3, 5), max_states=50, workers=2)
@@ -174,9 +245,7 @@ class TestViolations:
 #: a deliberately tiny memory budget so every run exercises segment
 #: spills and merge compaction, not just the in-memory fast path.
 STORE_FACTORIES = [
-    pytest.param(lambda tmp: DictStore(), id="dict"),
     pytest.param(lambda tmp: CompactStore(), id="compact"),
-    pytest.param(lambda tmp: ShardedStateStore(), id="sharded"),
     pytest.param(
         lambda tmp: DiskStore(tmp / "store", memory_budget=8, max_segments=3),
         id="disk",
@@ -185,7 +254,7 @@ STORE_FACTORIES = [
 
 
 class TestStoreEquivalence:
-    """Dict/Compact/Sharded/Disk stores yield identical BFS results."""
+    """Compact and disk stores yield the default store's BFS results."""
 
     @pytest.mark.parametrize("spec_fn", [lambda: CounterSpec(2, 3), lambda: TokenRingSpec(3)])
     @pytest.mark.parametrize("store_factory", STORE_FACTORIES)
@@ -231,23 +300,6 @@ class TestStores:
         for fp in range(100):
             store.record(fp, None if fp == 0 else fp - 1, "Tick")
         assert len(store._action_names) == 1
-
-    def test_sharded_store_partitions(self):
-        store = ShardedStateStore(shards=4)
-        for fp in range(32):
-            store.record(fp, None, "Tick")
-        assert all(store.seen(fp) for fp in range(32))
-        assert not store.seen(99)
-        sizes = [len(shard._parents) for shard in store._shards]
-        assert sum(sizes) == 32
-        assert all(size == 8 for size in sizes)
-
-    def test_sharded_store_bytes_fingerprints(self):
-        store = ShardedStateStore(shards=4)
-        fp = b"\x00" * 7 + b"\x05"
-        store.record(fp, None, "Tick")
-        assert store.seen(fp)
-        assert store.shard_of(fp) == 5 % 4
 
     def test_edges_and_roots_merge_seam(self):
         store = CompactStore()

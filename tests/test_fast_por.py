@@ -10,8 +10,7 @@ Covers the two exploration reducers end to end:
 * the POR prune-set fixpoint over declared action read/write sets, and
   its soundness guards (inferred writes, opaque invariants, overridden
   constraints all block pruning);
-* the store seams the refactor touched: ``ShardedStateStore`` root/edge
-  merging and ``CompactStore`` action-name interning under symmetry.
+* ``CompactStore`` action-name interning under symmetry.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.core import (
     Invariant,
     PendingTrace,
     Rec,
-    ShardedStateStore,
     Spec,
     SpecError,
     StopReason,
@@ -346,32 +344,8 @@ class TestOracleExclusions:
 
 
 # ---------------------------------------------------------------------------
-# store seams: sharded merge, compact interning
+# store seams: compact interning
 # ---------------------------------------------------------------------------
-
-
-class TestShardedStoreSeams:
-    def test_roots_and_edges_merge_across_shards(self):
-        store = ShardedStateStore(8)
-        roots = {}
-        # fingerprints 0..63 land 8 per shard; roots on every shard
-        for fp in range(8):
-            state = Rec(x=fp)
-            store.record_init(fp, state)
-            roots[fp] = state
-        for fp in range(8, 64):
-            store.record(fp, fp % 8, f"Act{fp % 3}")
-        assert len(store) == 64
-        assert dict(store.roots()) == roots
-        merged = {fp: (parent, action) for fp, parent, action in store.edges()}
-        assert len(merged) == 64
-        for fp in range(8, 64):
-            assert merged[fp] == (fp % 8, f"Act{fp % 3}")
-        for fp in range(8):
-            parent, _action = merged[fp]
-            assert parent is None
-        # chains cross shard boundaries (parent fp % 8 != child fp % 8)
-        assert store.chain(63)[0][0] == 7
 
 
 class TestCompactInterning:
@@ -534,7 +508,7 @@ class TestDifferentialCells:
         assert forced, "forced matrix must not be empty"
         for config in forced:
             assert config.fast and config.por
-            assert config.store not in ("compact", "sharded")
+            assert config.store != "compact"
             assert config.compiled
 
     def test_small_sweep_is_clean(self):

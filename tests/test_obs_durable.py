@@ -151,9 +151,16 @@ class TestSerialDurableMetrics:
 
 class TestParallelDurableMetrics:
     @needs_fork
-    def test_parallel_counters_match_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"symmetry": True}, {"fast": True}],
+        ids=["plain", "symmetry", "fast"],
+    )
+    def test_parallel_counters_match_serial(self, tmp_path, options):
+        # Symmetry and fast mode change the workers' canonicalization
+        # and store, so each must still count exactly what serial does.
         serial = MetricsRegistry()
-        bfs_explore(CounterSpec(3, 3), metrics=serial)
+        bfs_explore(CounterSpec(3, 3), metrics=serial, **options)
         parallel = MetricsRegistry()
         run_check(
             CounterSpec(3, 3),
@@ -161,6 +168,7 @@ class TestParallelDurableMetrics:
             workers=2,
             checkpoint_states=10_000,
             metrics=parallel,
+            **options,
         )
         assert fires_of(parallel) == fires_of(serial)
         assert (
@@ -168,7 +176,7 @@ class TestParallelDurableMetrics:
             == serial.histogram("engine.fanout").to_dict()
         )
         shards = parallel.counts("parallel.shard_states")
-        expected = bfs_explore(CounterSpec(3, 3)).stats.distinct_states
+        expected = bfs_explore(CounterSpec(3, 3), **options).stats.distinct_states
         assert sum(shards.values()) == expected
 
     @needs_fork

@@ -144,7 +144,6 @@ def test_matrix_covers_required_cells():
     assert {
         "census/serial-memory",
         "census/serial-compact",
-        "census/serial-sharded",
         "census/serial-disk",
         "census/durable-resume",
     } <= names
